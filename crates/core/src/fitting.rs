@@ -14,7 +14,7 @@
 //!   the candidates it evaluates (see `hdl_models::fit`).
 //! * [`BatchObjective`] — the same cost function over many candidates at
 //!   once.  Candidates are evaluated as lanes of a structure-of-arrays
-//!   lockstep sweep ([`crate::soa::SoaBatch`]), whose `f64` columns are
+//!   lockstep sweep ([`crate::soa::SoaBatch`]), whose lanes are
 //!   bit-identical to the scalar model — a batched cost is the same number
 //!   the scalar objective would have produced, just computed N lanes at a
 //!   time.  Like [`FitObjective`], it owns all its evaluation scratch
@@ -45,7 +45,7 @@ use crate::backend::HysteresisBackend;
 use crate::config::JaConfig;
 use crate::error::JaError;
 use crate::model::JilesAtherton;
-use crate::soa::{SoaBatch, SoaPrecision};
+use crate::soa::SoaBatch;
 
 /// Options of the coordinate-search fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,7 +198,7 @@ impl FitObjective {
 /// lanes of one structure-of-arrays lockstep sweep.
 ///
 /// A [`costs`](BatchObjective::costs) call assigns the candidates to the
-/// lanes of an internal [`SoaBatch`] (always `f64` columns, which are
+/// lanes of an internal [`SoaBatch`] (whose lanes are
 /// bit-identical to the scalar model), runs the shared candidate schedule
 /// once across all lanes, and extracts each lane's metric mismatch — the
 /// exact value [`FitObjective::cost`] would have returned for that
@@ -241,7 +241,7 @@ impl BatchObjective {
         let samples = schedule.to_samples();
         // The scalar objective simulates with the default configuration
         // (`JilesAtherton::new`); the lanes must match it exactly.
-        let batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64)?;
+        let batch = SoaBatch::new(JaConfig::default())?;
         Ok(Self {
             target,
             samples,

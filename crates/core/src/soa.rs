@@ -4,10 +4,9 @@
 //! the **same** applied-field sequence, holding every state and parameter
 //! field in a flat column (one `Vec` per field) instead of N independent
 //! model objects.  Each lane advances through exactly the per-step
-//! increment math of the scalar model, so in the default
-//! [`SoaPrecision::F64`] mode every lane is **bit-identical** to a scalar
-//! [`JilesAtherton`](crate::model::JilesAtherton) run of the same
-//! parameters, configuration and samples.
+//! increment math of the scalar model, so every lane is **bit-identical**
+//! to a scalar [`JilesAtherton`](crate::model::JilesAtherton) run of the
+//! same parameters, configuration and samples.
 //!
 //! Two kernels implement that contract:
 //!
@@ -21,8 +20,8 @@
 //!   serialising on an opaque libm call — this is where the SoA speedup
 //!   comes from.  Per lane the operation order is exactly the scalar
 //!   model's ([`advance_state`] shares the
-//!   same constants and increment routine), which keeps `f64` lanes
-//!   bitwise equal;
+//!   same constants and increment routine), which keeps the lanes bitwise
+//!   equal;
 //! * the **per-lane fallback** (classic Langevin law): each lane walks the
 //!   whole sequence delegating every step to
 //!   [`advance_state`] itself — trivially
@@ -31,16 +30,6 @@
 //! On top of the kernel win, the batch removes everything around the math:
 //! per-sample dynamic dispatch, per-sample `Result`/sample-struct plumbing,
 //! per-lane schedule re-iteration and per-lane model construction.
-//!
-//! The optional [`SoaPrecision::F32`] mode stores the six state columns as
-//! `f32`: every step loads the rounded state, advances it in `f64` (the
-//! arithmetic itself never changes), and stores the result rounded back to
-//! `f32`.  Parameters stay in `f64` columns so the lanes still evaluate the
-//! exact requested parameter sets.  The rounding feeds back through the
-//! state, so the error against the scalar reference grows with the lane's
-//! susceptibility; the documented bound (asserted by
-//! `tests/soa_equivalence.rs`) is a relative flux-density error below
-//! `1e-4` of the loop's peak for the workspace's materials and schedules.
 //!
 //! Lanes are fully independent: a lane whose parameters fail validation or
 //! whose state diverges records its [`JaError`] and goes inactive without
@@ -64,61 +53,20 @@ use crate::timeless::{
     FIXED_POINT_TOLERANCE,
 };
 
-/// Numeric storage of the per-lane state columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SoaPrecision {
-    /// `f64` state columns — bit-identical to the scalar model.
-    #[default]
-    F64,
-    /// `f32` state columns — halves the state footprint; the per-step
-    /// arithmetic stays `f64`, but results are rounded through `f32`
-    /// between steps (see the module docs for the documented tolerance).
-    F32,
-}
-
-/// A column element: converts losslessly (`f64`) or by rounding (`f32`)
-/// to and from the `f64` the step math runs in.
-trait ColumnScalar: Copy + Default {
-    fn from_f64(value: f64) -> Self;
-    fn to_f64(self) -> f64;
-}
-
-impl ColumnScalar for f64 {
-    #[inline]
-    fn from_f64(value: f64) -> Self {
-        value
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl ColumnScalar for f32 {
-    #[inline]
-    fn from_f64(value: f64) -> Self {
-        value as f32
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-}
-
 /// The six state fields of [`JaState`] as flat columns, plus the per-lane
 /// update counter.
 #[derive(Debug, Clone, Default)]
-struct StateColumns<T> {
-    m_irr: Vec<T>,
-    m_rev: Vec<T>,
-    m_total: Vec<T>,
-    m_an: Vec<T>,
-    h: Vec<T>,
-    h_last_update: Vec<T>,
+struct StateColumns {
+    m_irr: Vec<f64>,
+    m_rev: Vec<f64>,
+    m_total: Vec<f64>,
+    m_an: Vec<f64>,
+    h: Vec<f64>,
+    h_last_update: Vec<f64>,
     updates: Vec<u64>,
 }
 
-impl<T: ColumnScalar> StateColumns<T> {
+impl StateColumns {
     /// Resets every column to `lanes` demagnetised entries, reusing the
     /// existing allocations.
     fn reset(&mut self, lanes: usize) {
@@ -131,7 +79,7 @@ impl<T: ColumnScalar> StateColumns<T> {
             &mut self.h_last_update,
         ] {
             column.clear();
-            column.resize(lanes, T::default());
+            column.resize(lanes, 0.0);
         }
         self.updates.clear();
         self.updates.resize(lanes, 0);
@@ -141,12 +89,12 @@ impl<T: ColumnScalar> StateColumns<T> {
     #[inline]
     fn load(&self, lane: usize) -> JaState {
         JaState {
-            m_irr: self.m_irr[lane].to_f64(),
-            m_rev: self.m_rev[lane].to_f64(),
-            m_total: self.m_total[lane].to_f64(),
-            m_an: self.m_an[lane].to_f64(),
-            h: self.h[lane].to_f64(),
-            h_last_update: self.h_last_update[lane].to_f64(),
+            m_irr: self.m_irr[lane],
+            m_rev: self.m_rev[lane],
+            m_total: self.m_total[lane],
+            m_an: self.m_an[lane],
+            h: self.h[lane],
+            h_last_update: self.h_last_update[lane],
             updates: self.updates[lane],
         }
     }
@@ -154,28 +102,20 @@ impl<T: ColumnScalar> StateColumns<T> {
     /// Scatters a scalar [`JaState`] back into one lane.
     #[inline]
     fn store(&mut self, lane: usize, state: &JaState) {
-        self.m_irr[lane] = T::from_f64(state.m_irr);
-        self.m_rev[lane] = T::from_f64(state.m_rev);
-        self.m_total[lane] = T::from_f64(state.m_total);
-        self.m_an[lane] = T::from_f64(state.m_an);
-        self.h[lane] = T::from_f64(state.h);
-        self.h_last_update[lane] = T::from_f64(state.h_last_update);
+        self.m_irr[lane] = state.m_irr;
+        self.m_rev[lane] = state.m_rev;
+        self.m_total[lane] = state.m_total;
+        self.m_an[lane] = state.m_an;
+        self.h[lane] = state.h;
+        self.h_last_update[lane] = state.h_last_update;
         self.updates[lane] = state.updates;
     }
-}
-
-/// State columns in the precision selected at construction, dispatched once
-/// per sweep rather than once per step.
-#[derive(Debug, Clone)]
-enum LaneStore {
-    F64(StateColumns<f64>),
-    F32(StateColumns<f32>),
 }
 
 /// A batch of Jiles–Atherton lanes sharing one configuration and one
 /// applied-field sequence, laid out as structure-of-arrays columns.
 ///
-/// Lifecycle: construct once per (configuration, precision), then
+/// Lifecycle: construct once per configuration, then
 /// repeatedly [`assign`](SoaBatch::assign) parameter sets and
 /// [`run_samples_into_curves`](SoaBatch::run_samples_into_curves).  All
 /// columns reuse their allocations across assignments, so steady-state
@@ -184,8 +124,6 @@ enum LaneStore {
 #[derive(Debug, Clone)]
 pub struct SoaBatch {
     config: JaConfig,
-    precision: SoaPrecision,
-    // Parameter columns (always f64 — see the module docs).
     m_sat: Vec<f64>,
     a: Vec<f64>,
     a2: Vec<f64>,
@@ -193,27 +131,16 @@ pub struct SoaBatch {
     alpha: Vec<f64>,
     c: Vec<f64>,
     anhysteretic: Vec<AnhystereticKind>,
-    store: LaneStore,
+    state: StateColumns,
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
-    scratch: LockstepScratch,
-}
-
-/// Reusable `f64` working buffers of the lockstep kernel: the state fields
-/// every lane carries across one sample, plus the per-lane convergence mask
-/// of the fixed point.  Kept on the batch so steady-state re-runs allocate
-/// nothing.
-#[derive(Debug, Clone, Default)]
-struct LockstepScratch {
-    m_irr: Vec<f64>,
-    m_total: Vec<f64>,
-    m_an: Vec<f64>,
-    h_last: Vec<f64>,
-    done: Vec<bool>,
+    /// The lockstep fixed point's per-lane convergence mask, kept on the
+    /// batch so steady-state re-runs allocate nothing.
+    converged: Vec<bool>,
 }
 
 impl SoaBatch {
-    /// Creates an empty batch for the given configuration and precision.
+    /// Creates an empty batch for the given configuration.
     ///
     /// # Errors
     ///
@@ -221,15 +148,10 @@ impl SoaBatch {
     /// the same check (and error) a scalar
     /// [`JilesAtherton::with_config`](crate::model::JilesAtherton::with_config)
     /// performs.
-    pub fn new(config: JaConfig, precision: SoaPrecision) -> Result<Self, JaError> {
+    pub fn new(config: JaConfig) -> Result<Self, JaError> {
         config.validate()?;
-        let store = match precision {
-            SoaPrecision::F64 => LaneStore::F64(StateColumns::default()),
-            SoaPrecision::F32 => LaneStore::F32(StateColumns::default()),
-        };
         Ok(Self {
             config,
-            precision,
             m_sat: Vec::new(),
             a: Vec::new(),
             a2: Vec::new(),
@@ -237,21 +159,16 @@ impl SoaBatch {
             alpha: Vec::new(),
             c: Vec::new(),
             anhysteretic: Vec::new(),
-            store,
+            state: StateColumns::default(),
             stats: Vec::new(),
             errors: Vec::new(),
-            scratch: LockstepScratch::default(),
+            converged: Vec::new(),
         })
     }
 
     /// The shared configuration.
     pub fn config(&self) -> &JaConfig {
         &self.config
-    }
-
-    /// The state-column precision.
-    pub fn precision(&self) -> SoaPrecision {
-        self.precision
     }
 
     /// Number of lanes currently assigned.
@@ -304,17 +221,14 @@ impl SoaBatch {
                 }
             }
         }
-        match &mut self.store {
-            LaneStore::F64(columns) => columns.reset(lanes),
-            LaneStore::F32(columns) => columns.reset(lanes),
-        }
+        self.state.reset(lanes);
     }
 
     /// Reconstructs one lane's parameter set from the columns.
     #[inline]
     fn lane_params(&self, lane: usize) -> JaParameters {
         JaParameters {
-            m_sat: magnetics::units::Magnetisation::new(self.m_sat[lane]),
+            m_sat: Magnetisation::new(self.m_sat[lane]),
             a: self.a[lane],
             a2: self.a2[lane],
             k: self.k[lane],
@@ -347,34 +261,42 @@ impl SoaBatch {
             alpha,
             c,
             anhysteretic,
-            store,
+            state,
             stats,
             errors,
-            scratch,
-            ..
+            converged,
         } = self;
         let params: [&Vec<f64>; 6] = [&*m_sat, &*a, &*a2, &*k, &*alpha, &*c];
-        let law = lockstep_law(config, anhysteretic, a, a2, errors);
-        match store {
-            LaneStore::F64(columns) => run_columns(
-                columns,
+        match lockstep_law(config, anhysteretic, a, a2, errors) {
+            Some(LockstepLaw::Single(man)) => run_lanes_lockstep(
+                state,
                 config,
                 anhysteretic,
                 &params,
-                law.as_ref(),
-                scratch,
+                &man,
+                converged,
                 stats,
                 errors,
                 samples,
                 curves,
             ),
-            LaneStore::F32(columns) => run_columns(
-                columns,
+            Some(LockstepLaw::Blend(man)) => run_lanes_lockstep(
+                state,
                 config,
                 anhysteretic,
                 &params,
-                law.as_ref(),
-                scratch,
+                &man,
+                converged,
+                stats,
+                errors,
+                samples,
+                curves,
+            ),
+            None => run_lanes(
+                state,
+                config,
+                anhysteretic,
+                &params,
                 stats,
                 errors,
                 samples,
@@ -507,60 +429,8 @@ fn lockstep_law<'x>(
     }
 }
 
-/// Runs one precision's columns through the kernel selected by
-/// [`lockstep_law`].
-#[allow(clippy::too_many_arguments)]
-fn run_columns<T: ColumnScalar>(
-    columns: &mut StateColumns<T>,
-    config: &JaConfig,
-    anhysteretic: &[AnhystereticKind],
-    params: &[&Vec<f64>; 6],
-    law: Option<&LockstepLaw<'_>>,
-    scratch: &mut LockstepScratch,
-    stats: &mut [JaStatistics],
-    errors: &mut [Option<JaError>],
-    samples: &[f64],
-    curves: &mut [BhCurve],
-) {
-    match law {
-        Some(LockstepLaw::Single(man)) => run_lanes_lockstep(
-            columns,
-            config,
-            anhysteretic,
-            params,
-            man,
-            scratch,
-            stats,
-            errors,
-            samples,
-            curves,
-        ),
-        Some(LockstepLaw::Blend(man)) => run_lanes_lockstep(
-            columns,
-            config,
-            anhysteretic,
-            params,
-            man,
-            scratch,
-            stats,
-            errors,
-            samples,
-            curves,
-        ),
-        None => run_lanes(
-            columns,
-            config,
-            anhysteretic,
-            params,
-            stats,
-            errors,
-            samples,
-            curves,
-        ),
-    }
-}
-
-/// The lockstep kernel: all lanes advance through each sample together.
+/// The lockstep kernel: all lanes advance through each sample together,
+/// working directly on the state columns.
 ///
 /// Per sample, three phases mirror [`advance_state`] exactly:
 ///
@@ -575,18 +445,16 @@ fn run_columns<T: ColumnScalar>(
 ///    lane the applied operation sequence is unchanged while the loop body
 ///    stays free of data-dependent branches and the polynomial arctangents
 ///    of adjacent lanes pipeline/vectorise;
-/// 3. **finalise** (per lane): rebuild the reversible part, store through
-///    the column precision (`f32` mode rounds here, exactly like the
-///    fallback path), detect divergence and append the lane's curve point
-///    from the post-rounding column values.
+/// 3. **finalise** (per lane): rebuild the reversible part, detect
+///    divergence and append the lane's curve point.
 #[allow(clippy::too_many_arguments)]
-fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
-    columns: &mut StateColumns<T>,
+fn run_lanes_lockstep<M: LockstepMan>(
+    columns: &mut StateColumns,
     config: &JaConfig,
     anhysteretic: &[AnhystereticKind],
     params: &[&Vec<f64>; 6],
     man: &M,
-    work: &mut LockstepScratch,
+    converged: &mut Vec<bool>,
     stats: &mut [JaStatistics],
     errors: &mut [Option<JaError>],
     samples: &[f64],
@@ -605,35 +473,25 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
     let alpha = &alpha[..lanes];
     let c = &c[..lanes];
 
-    for buffer in [
-        &mut work.m_irr,
-        &mut work.m_total,
-        &mut work.m_an,
-        &mut work.h_last,
-    ] {
-        buffer.clear();
-        buffer.reserve(lanes);
-    }
-    for lane in 0..lanes {
-        work.m_irr.push(columns.m_irr[lane].to_f64());
-        work.m_total.push(columns.m_total[lane].to_f64());
-        work.m_an.push(columns.m_an[lane].to_f64());
-        work.h_last.push(columns.h_last_update[lane].to_f64());
-    }
-    work.done.clear();
-    work.done.resize(lanes, false);
-    let LockstepScratch {
-        m_irr: w_m_irr,
-        m_total: w_m_total,
-        m_an: w_m_an,
-        h_last: w_h_last,
-        done: w_done,
-    } = work;
-    let w_m_irr = &mut w_m_irr[..lanes];
-    let w_m_total = &mut w_m_total[..lanes];
-    let w_m_an = &mut w_m_an[..lanes];
-    let w_h_last = &mut w_h_last[..lanes];
-    let w_done = &mut w_done[..lanes];
+    converged.clear();
+    converged.resize(lanes, false);
+    let done_mask = &mut converged[..lanes];
+    let StateColumns {
+        m_irr,
+        m_rev,
+        m_total: m_total_col,
+        m_an: m_an_col,
+        h: h_col,
+        h_last_update,
+        updates,
+    } = columns;
+    let m_irr = &mut m_irr[..lanes];
+    let m_rev = &mut m_rev[..lanes];
+    let m_total_col = &mut m_total_col[..lanes];
+    let m_an_col = &mut m_an_col[..lanes];
+    let h_col = &mut h_col[..lanes];
+    let h_last_update = &mut h_last_update[..lanes];
+    let updates = &mut updates[..lanes];
 
     for (lane, curve) in curves.iter_mut().enumerate() {
         curve.clear();
@@ -660,7 +518,7 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
                 continue;
             }
             stats[lane].samples += 1;
-            let h_last = w_h_last[lane];
+            let h_last = h_last_update[lane];
             let dh_accumulated = h - h_last;
             if dh_accumulated.abs() >= config.dh_max {
                 let lane_params = JaParameters {
@@ -675,14 +533,14 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
                     &lane_params,
                     &anhysteretic[lane],
                     config,
-                    w_m_irr[lane],
-                    w_m_total[lane],
+                    m_irr[lane],
+                    m_total_col[lane],
                     h_last,
                     h,
                 );
-                w_m_irr[lane] += result.dm_irr;
-                w_h_last[lane] = h;
-                columns.updates[lane] += 1;
+                m_irr[lane] += result.dm_irr;
+                h_last_update[lane] = h;
+                updates[lane] += 1;
                 let lane_stats = &mut stats[lane];
                 lane_stats.updates += 1;
                 lane_stats.slope_evaluations += u64::from(result.slope_evaluations);
@@ -695,52 +553,49 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
         // in lockstep.  The convergence mask replaces the scalar early
         // break; a converged lane carries its values unchanged, so the
         // per-lane operation sequence matches `advance_state` bit for bit.
-        for done in w_done.iter_mut() {
+        // Inactive lanes iterate too (keeping the loop branch-free); their
+        // values are never reported.
+        for done in done_mask.iter_mut() {
             *done = false;
         }
         for _ in 0..FIXED_POINT_ITERATIONS {
             for lane in 0..lanes {
-                let m_total = w_m_total[lane];
+                let m_total = m_total_col[lane];
                 let h_effective = h + alpha[lane] * m_sat[lane] * m_total;
                 let m_an = man.m_an(lane, h_effective);
-                let next = total_magnetisation(config.formulation, c[lane], m_an, w_m_irr[lane]);
-                let converged = (next - m_total).abs() < FIXED_POINT_TOLERANCE;
-                let done = w_done[lane];
-                w_m_an[lane] = if done { w_m_an[lane] } else { m_an };
-                w_m_total[lane] = if done { m_total } else { next };
-                w_done[lane] = done || converged;
+                let next = total_magnetisation(config.formulation, c[lane], m_an, m_irr[lane]);
+                let settled = (next - m_total).abs() < FIXED_POINT_TOLERANCE;
+                let done = done_mask[lane];
+                m_an_col[lane] = if done { m_an_col[lane] } else { m_an };
+                m_total_col[lane] = if done { m_total } else { next };
+                done_mask[lane] = done || settled;
             }
         }
 
-        // Phase 3 — finalise, store through the column precision, emit.
+        // Phase 3 — finalise and emit.
         for lane in 0..lanes {
             if errors[lane].is_some() {
                 continue;
             }
-            let state = JaState {
-                m_irr: w_m_irr[lane],
-                m_rev: w_m_total[lane] - w_m_irr[lane],
-                m_total: w_m_total[lane],
-                m_an: w_m_an[lane],
+            let m_total = m_total_col[lane];
+            m_rev[lane] = m_total - m_irr[lane];
+            h_col[lane] = h;
+            let finite = [
+                m_irr[lane],
+                m_rev[lane],
+                m_total,
+                m_an_col[lane],
                 h,
-                h_last_update: w_h_last[lane],
-                updates: columns.updates[lane],
-            };
-            columns.store(lane, &state);
-            if !state.is_finite() {
+                h_last_update[lane],
+            ]
+            .iter()
+            .all(|value| value.is_finite());
+            if !finite {
                 errors[lane] = Some(JaError::StateDiverged { at_field: h });
                 continue;
             }
-            // The next sample starts from the stored state (rounded in f32
-            // mode), exactly like the fallback path's per-sample load.
-            w_m_irr[lane] = columns.m_irr[lane].to_f64();
-            w_m_total[lane] = columns.m_total[lane].to_f64();
-            w_m_an[lane] = columns.m_an[lane].to_f64();
-            w_h_last[lane] = columns.h_last_update[lane].to_f64();
-            let h_out = columns.h[lane].to_f64();
-            let m_total_out = columns.m_total[lane].to_f64();
             let sat = m_sat[lane];
-            curves[lane].push_raw(h_out, MU0 * (h_out + m_total_out * sat), m_total_out * sat);
+            curves[lane].push_raw(h, MU0 * (h + m_total * sat), m_total * sat);
         }
     }
 }
@@ -749,10 +604,10 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
 /// sequence with its state held in locals, delegating each step to the
 /// shared [`advance_state`].  Lane-major order keeps the per-lane state and
 /// the curve append stream hot; the per-lane operation sequence is exactly
-/// the scalar model's, which is what makes `f64` lanes bit-identical.
+/// the scalar model's, which is what makes the lanes bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn run_lanes<T: ColumnScalar>(
-    columns: &mut StateColumns<T>,
+fn run_lanes(
+    columns: &mut StateColumns,
     config: &JaConfig,
     anhysteretic: &[AnhystereticKind],
     params: &[&Vec<f64>; 6],
@@ -770,7 +625,7 @@ fn run_lanes<T: ColumnScalar>(
         }
         curve.reserve(samples.len());
         let lane_params = JaParameters {
-            m_sat: magnetics::units::Magnetisation::new(m_sat[lane]),
+            m_sat: Magnetisation::new(m_sat[lane]),
             a: a[lane],
             a2: a2[lane],
             k: k[lane],
@@ -780,8 +635,8 @@ fn run_lanes<T: ColumnScalar>(
         let lane_anhysteretic = &anhysteretic[lane];
         let mut lane_stats = stats[lane];
         let sat = lane_params.m_sat.value();
+        let mut state = columns.load(lane);
         for &h in samples {
-            let mut state = columns.load(lane);
             let step = advance_state(
                 &lane_params,
                 lane_anhysteretic,
@@ -790,19 +645,18 @@ fn run_lanes<T: ColumnScalar>(
                 &mut lane_stats,
                 h,
             );
-            columns.store(lane, &state);
             if let Err(err) = step {
                 errors[lane] = Some(err);
                 break;
             }
-            // The same expressions as the scalar `JilesAtherton::sample`,
-            // read back through the columns so the curve reflects exactly
-            // what the lane stores (in f64 mode the round trip is the
-            // identity).
-            let h_out = columns.h[lane].to_f64();
-            let m_total = columns.m_total[lane].to_f64();
-            curve.push_raw(h_out, MU0 * (h_out + m_total * sat), m_total * sat);
+            // The same expressions as the scalar `JilesAtherton::sample`.
+            curve.push_raw(
+                state.h,
+                MU0 * (state.h + state.m_total * sat),
+                state.m_total * sat,
+            );
         }
+        columns.store(lane, &state);
         stats[lane] = lane_stats;
     }
 }
@@ -844,7 +698,7 @@ mod tests {
         let params = materials();
         let config = JaConfig::default();
 
-        let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("valid config");
+        let mut batch = SoaBatch::new(config).expect("valid config");
         batch.assign(&params);
         let mut curves = vec![BhCurve::new(); params.len()];
         batch.run_samples_into_curves(&samples, &mut curves);
@@ -866,7 +720,7 @@ mod tests {
     fn reassignment_reuses_lanes_and_resets_state() {
         let schedule = FieldSchedule::major_loop(5_000.0, 100.0, 1).expect("schedule");
         let samples = schedule.to_samples();
-        let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("config");
+        let mut batch = SoaBatch::new(JaConfig::default()).expect("config");
         let mut curves = vec![BhCurve::new(); 2];
 
         batch.assign(&[JaParameters::date2006(), JaParameters::hard_steel()]);
@@ -885,7 +739,7 @@ mod tests {
     fn invalid_lane_reports_material_error_and_others_run() {
         let mut bad = JaParameters::date2006();
         bad.k = -1.0;
-        let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("config");
+        let mut batch = SoaBatch::new(JaConfig::default()).expect("config");
         batch.assign(&[JaParameters::date2006(), bad]);
         let samples = [0.0, 100.0, 200.0];
         let mut curves = vec![BhCurve::new(); 2];
@@ -900,43 +754,8 @@ mod tests {
     fn invalid_config_is_rejected_at_construction() {
         let bad = JaConfig::default().with_dh_max(0.0);
         assert!(matches!(
-            SoaBatch::new(bad, SoaPrecision::F64),
+            SoaBatch::new(bad),
             Err(JaError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn f32_mode_tracks_scalar_within_tolerance() {
-        let schedule = FieldSchedule::major_loop(10_000.0, 100.0, 2).expect("schedule");
-        let samples = schedule.to_samples();
-        let params = materials();
-        let config = JaConfig::default();
-
-        let mut batch = SoaBatch::new(config, SoaPrecision::F32).expect("valid config");
-        batch.assign(&params);
-        let mut curves = vec![BhCurve::new(); params.len()];
-        batch.run_samples_into_curves(&samples, &mut curves);
-
-        for (lane, p) in params.iter().enumerate() {
-            let mut scalar = JilesAtherton::with_config(*p, config).expect("valid");
-            let reference = scalar.run_samples(&samples).expect("scalar run");
-            let b_peak = reference
-                .points()
-                .iter()
-                .map(|p| p.b.as_tesla().abs())
-                .fold(0.0, f64::max);
-            let worst = curves[lane]
-                .points()
-                .iter()
-                .zip(reference.points())
-                .map(|(lhs, rhs)| (lhs.b.as_tesla() - rhs.b.as_tesla()).abs())
-                .fold(0.0, f64::max);
-            // The documented f32-mode bound: relative B error under 1e-4 of
-            // the loop peak.
-            assert!(
-                worst <= 1e-4 * b_peak,
-                "lane {lane}: |ΔB| = {worst} exceeds 1e-4 × {b_peak}"
-            );
-        }
     }
 }

@@ -1,51 +1,53 @@
-//! Parallel scenario execution.
+//! Parallel scenario execution on one ordered, bounded worker pool.
 //!
-//! [`BatchRunner`] is the engine behind [`crate::scenario::run_batch`]: it
-//! distributes a scenario list over a pool of scoped worker threads
-//! (`std::thread::scope`, no external dependencies), with chunked work
-//! stealing over an atomic cursor and a configurable error policy.  Results
-//! are tagged with their input index and re-sorted, so a
-//! [`BatchReport`] is **deterministic**: the entries come back in input
-//! order with bit-identical floating-point content regardless of the worker
-//! count (each scenario's computation is sequential and self-contained; the
-//! executor only changes *where* it runs).  The one exception is fail-fast
-//! cancellation, which depends on timing — see [`ErrorPolicy::FailFast`].
+//! Every batch surface — the stored [`BatchRunner::run`], the streamed
+//! [`BatchRunner::run_streamed`] and the multi-start fitting batches of
+//! [`crate::fit`] (through [`parallel_map`]) — runs on the same private
+//! pool of scoped worker threads (standard library only, no external
+//! dependencies).  The pool:
 //!
-//! Workers keep a [`RunScratch`] alive across the scenarios they execute:
-//! consecutive scenarios sharing a (backend, material, configuration)
-//! triple reuse the constructed backend through
-//! [`HysteresisBackend::reset`] instead of rebuilding it, and the flattened
-//! sample vector of the current excitation is cached by excitation
-//! identity, so the parallel win is not eaten by per-scenario construction
-//! and allocator traffic.
+//! * claims jobs one at a time from a shared atomic cursor;
+//! * keeps one worker-local scratch alive per worker across the jobs it
+//!   runs;
+//! * hands each job's owned result to a sink on the calling thread **in job
+//!   order**, through a reorder window of 8 jobs per worker: a worker
+//!   blocks before starting a job beyond the window, so a slow job holds
+//!   back at most that many finished results.
+//!
+//! Because each scenario's computation is sequential and self-contained and
+//! results arrive in job order, batches are **deterministic**: the entries
+//! come back in input order with bit-identical floating-point content
+//! regardless of the worker count (the executor only changes *where* a
+//! scenario runs).  The one exception is fail-fast cancellation, which
+//! depends on timing — see [`ErrorPolicy::FailFast`].
+//!
+//! The [`RunScratch`] a worker keeps lets consecutive scenarios sharing a
+//! (backend, material, configuration) triple reuse the constructed backend
+//! through [`HysteresisBackend::reset`] instead of rebuilding it, and caches
+//! the flattened sample vector of the current excitation, so the parallel
+//! win is not eaten by per-scenario construction and allocator traffic.
 //!
 //! Direct-timeless scenarios that share a (configuration, excitation,
 //! operating point) triple are additionally routed — per [`SoaRouting`],
 //! default on — through the structure-of-arrays lockstep batch
-//! ([`SoaBatch`]): the whole group runs as one SoA sweep, one lane per
-//! scenario, and the per-lane results fan back into ordinary per-entry
-//! report slots.  Lane parameters are the scenarios' **resolved**
-//! (thermally derived) parameters, the same values the scalar path runs,
-//! so SoA `f64` lanes stay bit-identical to the scalar model and routing
-//! never changes report content, only throughput.
-//!
-//! The distribution machinery itself (chunked claims over an atomic
-//! cursor, worker-local state, index-ordered results) is exposed as the
-//! generic [`parallel_map`], which also powers the multi-start fitting
-//! batches of [`crate::fit`] — any deterministic per-job workload with
-//! reusable worker scratch can ride the same pool.
+//! ([`SoaBatch`]): the whole group runs as one job, one lane per scenario,
+//! and the per-lane results fan back into ordinary per-entry slots.  Lane
+//! parameters are the scenarios' **resolved** (thermally derived)
+//! parameters, the same values the scalar path runs, so the lanes stay
+//! bit-identical to the scalar model and routing never changes report
+//! content, only throughput.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ja_hysteresis::backend::HysteresisBackend;
 use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::error::JaError;
-use ja_hysteresis::soa::{SoaBatch, SoaPrecision};
+use ja_hysteresis::soa::SoaBatch;
 use magnetics::bh::BhCurve;
 use magnetics::loop_analysis;
 use magnetics::material::JaParameters;
@@ -74,7 +76,7 @@ pub enum ErrorPolicy {
 /// Scenarios are **groupable** when they share a (configuration,
 /// excitation, operating point) triple, use the direct-timeless backend
 /// and have a prescribed (non-circuit) stimulus; a group runs as one SoA
-/// sweep with one lane per scenario.  In `f64` column mode every lane is bit-identical to the
+/// sweep with one lane per scenario.  Every lane is bit-identical to the
 /// scalar run of the same scenario, so the routing decision never changes
 /// report content — only the timing fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,15 +110,13 @@ pub enum SoaRouting {
 #[derive(Debug, Clone, Default)]
 pub struct BatchRunner {
     workers: Option<NonZeroUsize>,
-    chunk_size: Option<NonZeroUsize>,
     policy: ErrorPolicy,
     routing: SoaRouting,
 }
 
 impl BatchRunner {
     /// An executor with the default knobs: one worker per available core,
-    /// chunk size 1 (best load balance for uneven scenario runtimes),
-    /// collect-all error policy.
+    /// collect-all error policy, automatic SoA routing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -127,15 +127,6 @@ impl BatchRunner {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = NonZeroUsize::new(workers);
-        self
-    }
-
-    /// Sets how many scenarios a worker claims from the shared cursor at a
-    /// time; `0` restores the default of 1.  Larger chunks reduce cursor
-    /// contention but can leave workers idle at the tail of uneven grids.
-    #[must_use]
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = NonZeroUsize::new(chunk_size);
         self
     }
 
@@ -166,59 +157,22 @@ impl BatchRunner {
     }
 
     /// Runs every scenario and collects a [`BatchReport`] with one entry
-    /// per scenario, in input order.
+    /// per scenario, in input order: the pool's owned outcomes and their
+    /// wall clocks move straight into the entries.
     ///
     /// Under the default [`SoaRouting::Auto`], scenarios sharing a
     /// (configuration, excitation) pair on the direct-timeless backend run
     /// as one structure-of-arrays lockstep sweep instead of one scalar
     /// sweep each — with bit-identical per-entry results, since the SoA
-    /// `f64` lanes reproduce the scalar operation sequence exactly.
+    /// lanes reproduce the scalar operation sequence exactly.
     pub fn run(&self, scenarios: impl IntoIterator<Item = Scenario>) -> BatchReport {
         let scenarios: Vec<Scenario> = scenarios.into_iter().collect();
-        let workers = self.resolved_workers(scenarios.len());
-        let chunk = self.chunk_size.map_or(1, NonZeroUsize::get);
         let started = Instant::now();
-
-        let jobs = route_jobs(&scenarios, self.routing);
-        let abort = AtomicBool::new(false);
-        let job_results = parallel_map(&jobs, workers, chunk, RunScratch::new, |job, scratch| {
-            let cancelled = self.policy == ErrorPolicy::FailFast && abort.load(Ordering::Relaxed);
-            match job {
-                Job::Scalar(index) => {
-                    let result = if cancelled {
-                        (Err(JaError::Cancelled), Duration::ZERO)
-                    } else {
-                        let t0 = Instant::now();
-                        let outcome = scenarios[*index].run_with_scratch(scratch);
-                        if outcome.is_err() {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        (outcome, t0.elapsed())
-                    };
-                    vec![(*index, result)]
-                }
-                Job::Lockstep(members) => {
-                    if cancelled {
-                        members
-                            .iter()
-                            .map(|&index| (index, (Err(JaError::Cancelled), Duration::ZERO)))
-                            .collect()
-                    } else {
-                        let results = run_lockstep_group(&scenarios, members, scratch);
-                        if results.iter().any(|(outcome, _)| outcome.is_err()) {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        members.iter().copied().zip(results).collect()
-                    }
-                }
-            }
-        });
-
         let mut slots: Vec<Option<(Result<ScenarioOutcome, JaError>, Duration)>> =
             (0..scenarios.len()).map(|_| None).collect();
-        for (index, result) in job_results.into_iter().flatten() {
-            slots[index] = Some(result);
-        }
+        let workers = self.execute(&scenarios, |index, outcome, wall_clock| {
+            slots[index] = Some((outcome, wall_clock));
+        });
         let entries = scenarios
             .into_iter()
             .zip(slots)
@@ -245,13 +199,16 @@ impl BatchRunner {
     ///
     /// Unlike [`run`](Self::run), no [`BatchReport`] is accumulated: an
     /// outcome (and the `BhCurve` inside it) is dropped right after `emit`
-    /// returns, so peak memory is bounded by worker-completion skew (the
-    /// small reorder buffer holding finished-but-not-yet-contiguous
-    /// entries), not by grid size.  Workers deliver results over a channel
-    /// to an in-order collector on the calling thread; because each
+    /// returns.  The pool holds at most 8 finished jobs per worker while an
+    /// earlier one is still running; on top of that, members of a lockstep
+    /// group that lie beyond the next index to emit wait here until their
+    /// predecessors have been emitted (groups are strided when the
+    /// operating point is the innermost grid axis).  Peak memory therefore
+    /// follows the window and the lockstep group spread, not the grid size
+    /// (for a scalar-routed grid, the window alone).  Because each
     /// scenario's computation is sequential and self-contained, the emitted
-    /// sequence is **bit-identical for any worker count** — the property the
-    /// NDJSON writer's byte-determinism rests on.
+    /// sequence is **bit-identical for any worker count** — the property
+    /// the NDJSON writer's byte-determinism rests on.
     ///
     /// `skip` supports checkpoint/resume: entries `0..skip` are neither run
     /// nor emitted.  Skipping cannot change the remaining outcomes — every
@@ -270,119 +227,27 @@ impl BatchRunner {
     ) -> Result<StreamSummary, E> {
         let skip = skip.min(scenarios.len());
         let pending = &scenarios[skip..];
-        let workers = self.resolved_workers(pending.len());
-        let chunk = self.chunk_size.map_or(1, NonZeroUsize::get);
-        let jobs = route_jobs(pending, self.routing);
-        let abort = AtomicBool::new(false);
-
-        let run_job = |job: &Job,
-                       scratch: &mut RunScratch|
-         -> Vec<(usize, Result<ScenarioOutcome, JaError>)> {
-            let cancelled = self.policy == ErrorPolicy::FailFast && abort.load(Ordering::Relaxed);
-            match job {
-                Job::Scalar(index) => {
-                    let outcome = if cancelled {
-                        Err(JaError::Cancelled)
-                    } else {
-                        let outcome = pending[*index].run_with_scratch(scratch);
-                        if outcome.is_err() {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        outcome
-                    };
-                    vec![(*index, outcome)]
-                }
-                Job::Lockstep(members) => {
-                    if cancelled {
-                        members
-                            .iter()
-                            .map(|&index| (index, Err(JaError::Cancelled)))
-                            .collect()
-                    } else {
-                        let results = run_lockstep_group(pending, members, scratch);
-                        if results.iter().any(|(outcome, _)| outcome.is_err()) {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        members
-                            .iter()
-                            .copied()
-                            .zip(results.into_iter().map(|(outcome, _)| outcome))
-                            .collect()
-                    }
-                }
-            }
-        };
-
-        // The in-order collector: finished entries park in `buffered` until
-        // every lower index has been emitted, then flush contiguously.
-        let mut buffered: BTreeMap<usize, Result<ScenarioOutcome, JaError>> = BTreeMap::new();
-        let mut next = 0_usize;
+        let mut in_order = Reorder::default();
         let mut succeeded = 0_usize;
         let mut failed = 0_usize;
         let mut emit_error: Option<E> = None;
-        let mut collect =
-            |index: usize, outcome: Result<ScenarioOutcome, JaError>, emit: EmitSink<'_, E>| {
-                buffered.insert(index, outcome);
-                while let Some(outcome) = buffered.remove(&next) {
-                    if outcome.is_ok() {
-                        succeeded += 1;
-                    } else {
-                        failed += 1;
-                    }
-                    if emit_error.is_none() {
-                        if let Err(error) = emit(skip + next, &outcome) {
-                            emit_error = Some(error);
-                        }
-                    }
-                    next += 1;
+        let workers = self.execute(pending, |index, outcome, _| {
+            in_order.insert(index, outcome);
+            while let Some((index, outcome)) = in_order.pop() {
+                if outcome.is_ok() {
+                    succeeded += 1;
+                } else {
+                    failed += 1;
                 }
-            };
-
-        if workers <= 1 {
-            let mut scratch = RunScratch::new();
-            for job in &jobs {
-                for (index, outcome) in run_job(job, &mut scratch) {
-                    collect(index, outcome, &mut emit);
+                if emit_error.is_none() {
+                    emit_error = emit(skip + index, &outcome).err();
                 }
             }
-        } else {
-            let (tx, rx) = mpsc::channel::<(usize, Result<ScenarioOutcome, JaError>)>();
-            let cursor = AtomicUsize::new(0);
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let jobs = &jobs;
-                    let cursor = &cursor;
-                    let run_job = &run_job;
-                    scope.spawn(move || {
-                        let mut scratch = RunScratch::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= jobs.len() {
-                                break;
-                            }
-                            let end = start.saturating_add(chunk).min(jobs.len());
-                            for job in &jobs[start..end] {
-                                for item in run_job(job, &mut scratch) {
-                                    if tx.send(item).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (index, outcome) in rx {
-                    collect(index, outcome, &mut emit);
-                }
-            });
-        }
-
+        });
         if let Some(error) = emit_error {
             return Err(error);
         }
-        debug_assert_eq!(next, pending.len());
+        debug_assert_eq!(in_order.next, pending.len());
         Ok(StreamSummary {
             scenarios: scenarios.len(),
             emitted: pending.len(),
@@ -391,11 +256,44 @@ impl BatchRunner {
             workers,
         })
     }
-}
 
-/// The sink the streaming collector flushes contiguous outcomes into —
-/// named so the collector closure's signature stays readable.
-type EmitSink<'a, E> = &'a mut dyn FnMut(usize, &Result<ScenarioOutcome, JaError>) -> Result<(), E>;
+    /// Routes `scenarios` into jobs, runs them on the ordered pool and
+    /// hands every scenario's outcome and wall clock to `sink` — in job
+    /// order, lockstep members in member order.  Returns the resolved
+    /// worker count.  The one place the scalar/lockstep dispatch, fail-fast
+    /// and cancellation live.
+    fn execute(
+        &self,
+        scenarios: &[Scenario],
+        mut sink: impl FnMut(usize, Result<ScenarioOutcome, JaError>, Duration),
+    ) -> usize {
+        let workers = self.resolved_workers(scenarios.len());
+        let jobs = route_jobs(scenarios, self.routing);
+        let abort = AtomicBool::new(false);
+        let run_job = |job: &Job, scratch: &mut RunScratch| {
+            let cancelled = self.policy == ErrorPolicy::FailFast && abort.load(Ordering::Relaxed);
+            let results: Vec<(Result<ScenarioOutcome, JaError>, Duration)> = match job {
+                _ if cancelled => job
+                    .members()
+                    .iter()
+                    .map(|_| (Err(JaError::Cancelled), Duration::ZERO))
+                    .collect(),
+                Job::Scalar(index) => vec![run_timed(&scenarios[*index], scratch)],
+                Job::Lockstep(members) => run_lockstep_group(scenarios, members, scratch),
+            };
+            if !cancelled && results.iter().any(|(outcome, _)| outcome.is_err()) {
+                abort.store(true, Ordering::Relaxed);
+            }
+            results
+        };
+        ordered_pool(&jobs, workers, RunScratch::new, run_job, |job, results| {
+            for (&index, (outcome, wall_clock)) in jobs[job].members().iter().zip(results) {
+                sink(index, outcome, wall_clock);
+            }
+        });
+        workers
+    }
+}
 
 /// What a [`BatchRunner::run_streamed`] call did, counted over the entries
 /// it emitted (a resumed run reports only its own tail; the caller folds in
@@ -414,12 +312,22 @@ pub struct StreamSummary {
     pub workers: usize,
 }
 
-/// One unit of parallel work: a single scenario on the scalar path, or a
-/// group of scenario indices sharing one SoA lockstep sweep.
+/// One unit of pool work: a single scenario on the scalar path, or a group
+/// of scenario indices sharing one SoA lockstep sweep.
 #[derive(Debug)]
 enum Job {
     Scalar(usize),
     Lockstep(Vec<usize>),
+}
+
+impl Job {
+    /// The scenario indices the job produces outcomes for, in result order.
+    fn members(&self) -> &[usize] {
+        match self {
+            Job::Scalar(index) => std::slice::from_ref(index),
+            Job::Lockstep(members) => members,
+        }
+    }
 }
 
 /// Partitions the scenario list into jobs according to the routing policy.
@@ -458,93 +366,55 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
             jobs.extend(members.into_iter().map(Job::Scalar));
         }
     }
-    jobs.sort_by_key(|job| match job {
-        Job::Scalar(index) => *index,
-        Job::Lockstep(members) => members[0],
-    });
+    jobs.sort_by_key(|job| job.members()[0]);
     jobs
+}
+
+/// Runs one scenario on the scalar path, timing it.
+fn run_timed(
+    scenario: &Scenario,
+    scratch: &mut RunScratch,
+) -> (Result<ScenarioOutcome, JaError>, Duration) {
+    let t0 = Instant::now();
+    let outcome = scenario.run_with_scratch(scratch);
+    (outcome, t0.elapsed())
 }
 
 /// Runs one groupable scenario set as a single SoA lockstep sweep, one lane
 /// per scenario, and fans the per-lane results back out in member order.
 ///
-/// Lane outcomes are bit-identical to the scalar path (the batch runs `f64`
-/// columns); only the timing fields differ — each member is attributed an
-/// equal share of the group's wall clock, since the lanes genuinely ran
-/// together.  A group whose shared configuration fails validation falls
-/// back to the scalar path, which reports the same per-scenario error the
-/// group would have masked.
+/// Lane outcomes are bit-identical to the scalar path; only the timing
+/// fields differ — each member is attributed an equal share of the group's
+/// wall clock, since the lanes genuinely ran together.  A group whose
+/// shared configuration fails validation, or with a member whose operating
+/// point is out of range, falls back to the scalar path, which reports the
+/// exact per-scenario error the group would have masked (and still
+/// succeeds the valid members).
 fn run_lockstep_group(
     scenarios: &[Scenario],
     members: &[usize],
     scratch: &mut RunScratch,
 ) -> Vec<(Result<ScenarioOutcome, JaError>, Duration)> {
     let first = &scenarios[members[0]];
-    let reusable = scratch
-        .soa
-        .as_ref()
-        .is_some_and(|batch| *batch.config() == first.config);
-    if !reusable {
-        match SoaBatch::new(first.config, SoaPrecision::F64) {
-            Ok(batch) => scratch.soa = Some(batch),
-            Err(_) => {
-                // Invalid shared configuration: every member fails the same
-                // way; the scalar path produces the exact error.
-                return members
-                    .iter()
-                    .map(|&index| {
-                        let t0 = Instant::now();
-                        let outcome = scenarios[index].run_with_scratch(scratch);
-                        (outcome, t0.elapsed())
-                    })
-                    .collect();
-            }
-        }
-    }
-
-    // Thermal derivation happens here through the same `resolved_params`
-    // the scalar path runs — the lanes and the scalar model must consume
-    // bit-identical parameters.  A member whose operating point is out of
-    // range sends the whole group down the scalar path, which reports the
-    // exact per-scenario error (and still succeeds the valid members).
-    scratch.lane_params.clear();
-    for &index in members {
-        match scenarios[index].resolved_params() {
-            Ok(params) => scratch.lane_params.push(params),
-            Err(_) => {
-                return members
-                    .iter()
-                    .map(|&index| {
-                        let t0 = Instant::now();
-                        let outcome = scenarios[index].run_with_scratch(scratch);
-                        (outcome, t0.elapsed())
-                    })
-                    .collect();
-            }
-        }
+    if assign_lanes(scenarios, members, scratch).is_err() {
+        return members
+            .iter()
+            .map(|&index| run_timed(&scenarios[index], scratch))
+            .collect();
     }
 
     let t0 = Instant::now();
     let RunScratch {
         samples,
         soa,
-        lane_params,
         lane_curves,
         ..
     } = scratch;
-    let hit = samples
-        .as_ref()
-        .is_some_and(|(key, _)| key == &first.excitation);
-    if !hit {
-        *samples = Some((first.excitation.clone(), first.excitation.to_samples()));
-    }
-    let samples = &samples.as_ref().expect("cached above").1;
-    let batch = soa.as_mut().expect("constructed above");
-
-    batch.assign(lane_params);
+    let samples = cached_samples(samples, &first.excitation);
+    let batch = soa.as_mut().expect("assigned above");
     lane_curves.resize_with(members.len(), BhCurve::new);
     lane_curves.truncate(members.len());
-    batch.run_samples_into_curves(samples, &mut lane_curves[..members.len()]);
+    batch.run_samples_into_curves(samples, lane_curves);
     let share = t0.elapsed() / members.len() as u32;
 
     members
@@ -577,6 +447,39 @@ fn run_lockstep_group(
         .collect()
 }
 
+/// Readies the worker's SoA batch for a lockstep group: (re)builds it for
+/// the group's shared configuration and assigns one lane per member.
+///
+/// Thermal derivation happens here through the same `resolved_params` the
+/// scalar path runs — the lanes and the scalar model must consume
+/// bit-identical parameters.
+fn assign_lanes(
+    scenarios: &[Scenario],
+    members: &[usize],
+    scratch: &mut RunScratch,
+) -> Result<(), JaError> {
+    let config = scenarios[members[0]].config;
+    if !scratch
+        .soa
+        .as_ref()
+        .is_some_and(|batch| *batch.config() == config)
+    {
+        scratch.soa = Some(SoaBatch::new(config)?);
+    }
+    scratch.lane_params.clear();
+    for &index in members {
+        scratch
+            .lane_params
+            .push(scenarios[index].resolved_params()?);
+    }
+    scratch
+        .soa
+        .as_mut()
+        .expect("built above")
+        .assign(&scratch.lane_params);
+    Ok(())
+}
+
 /// Resolves a configured worker count for `jobs` units of work: `0` means
 /// one worker per available core, and the result is clamped to the job
 /// count with a floor of 1.  The single worker-resolution policy shared by
@@ -590,78 +493,208 @@ pub fn resolved_workers(configured: usize, jobs: usize) -> usize {
     configured.min(jobs).max(1)
 }
 
-/// Runs `run` over every job on a pool of `workers` scoped threads and
-/// returns the results **in job order** — the generic core of
-/// [`BatchRunner`], also used by the multi-start fitting batches of
-/// [`crate::fit`].
+/// Runs `run` over every job on the ordered pool with `workers` threads
+/// and returns the results **in job order** — the pool collected into a
+/// `Vec`, used by the multi-start fitting batches of [`crate::fit`].
 ///
-/// Each worker claims `chunk` jobs at a time from a shared atomic cursor
-/// and keeps one instance of worker-local state (built by `make_state`)
-/// alive across all the jobs it executes — the scratch-reuse pattern that
-/// keeps per-job construction and allocator traffic off the hot path.
-/// Results are tagged with their job index and re-sorted, so as long as
-/// `run` is a pure function of the job (plus state that `run` fully resets
-/// or overwrites per job), the output is **deterministic**: identical for
-/// any worker count, including the inline `workers <= 1` path that spawns
-/// no threads at all.
+/// Each worker keeps one instance of worker-local state (built by
+/// `make_state`) alive across all the jobs it executes — the scratch-reuse
+/// pattern that keeps per-job construction and allocator traffic off the
+/// hot path.  As long as `run` is a pure function of the job (plus state
+/// that `run` fully resets or overwrites per job), the output is
+/// **deterministic**: identical for any worker count, including the inline
+/// `workers <= 1` path that spawns no threads at all.
 ///
 /// Cross-job coordination (e.g. fail-fast abort) lives in the closure:
-/// capture an [`AtomicBool`] and consult it per job, as
-/// [`BatchRunner::run`] does.
-pub fn parallel_map<T, S, R, FS, F>(
-    jobs: &[T],
-    workers: usize,
-    chunk: usize,
-    make_state: FS,
-    run: F,
-) -> Vec<R>
+/// capture an [`AtomicBool`] and consult it per job, as [`BatchRunner`]
+/// does.
+pub fn parallel_map<T, S, R, FS, F>(jobs: &[T], workers: usize, make_state: FS, run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     FS: Fn() -> S + Sync,
     F: Fn(&T, &mut S) -> R + Sync,
 {
-    let chunk = chunk.max(1);
+    let mut results = Vec::with_capacity(jobs.len());
+    ordered_pool(jobs, workers, make_state, run, |_, result| {
+        results.push(result);
+    });
+    results
+}
+
+/// How many jobs, per worker, the pool may run ahead of the oldest job not
+/// yet handed to the sink.  The reorder window is this times the worker
+/// count: it bounds the finished results parked behind a slow job, while
+/// leaving the other workers enough room that uneven job costs do not
+/// serialise the batch.
+const WINDOW_PER_WORKER: usize = 8;
+
+/// The one worker pool behind [`BatchRunner`] and [`parallel_map`].
+///
+/// `workers` scoped threads claim jobs one at a time from an atomic cursor,
+/// each keeping the state built by `make_state` across its jobs.  Every
+/// result goes, owned, to `sink` on the calling thread in job order
+/// (`sink(job_index, result)`).  A worker blocks before starting a job
+/// more than [`WINDOW_PER_WORKER`] × workers positions past the oldest
+/// undelivered one, so at most that many finished results ever wait for
+/// delivery.  With `workers <= 1` the jobs run inline and no thread is
+/// spawned.
+///
+/// A panic in `run` or `sink` closes the window — blocked workers and the
+/// collector stop waiting — and then propagates out of this call.
+fn ordered_pool<T, S, R>(
+    jobs: &[T],
+    workers: usize,
+    make_state: impl Fn() -> S + Sync,
+    run: impl Fn(&T, &mut S) -> R + Sync,
+    mut sink: impl FnMut(usize, R),
+) where
+    T: Sync,
+    R: Send,
+{
+    let workers = workers.min(jobs.len());
     if workers <= 1 {
         let mut state = make_state();
-        return jobs.iter().map(|job| run(job, &mut state)).collect();
+        for (index, job) in jobs.iter().enumerate() {
+            sink(index, run(job, &mut state));
+        }
+        return;
     }
 
+    let window = WINDOW_PER_WORKER * workers;
     let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_state();
-                    let mut local = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs.len() {
-                            break;
-                        }
-                        let end = start.saturating_add(chunk).min(jobs.len());
-                        for (index, job) in jobs.iter().enumerate().take(end).skip(start) {
-                            local.push((index, run(job, &mut state)));
-                        }
+    let pool = Pool {
+        state: Mutex::new(PoolState {
+            finished: Reorder::default(),
+            closed: false,
+        }),
+        ready: Condvar::new(),
+        space: Condvar::new(),
+    };
+    thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let _close = CloseOnPanic(&pool);
+                let mut state = make_state();
+                loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= jobs.len() {
+                        return;
                     }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("parallel_map worker panicked"))
-            .collect()
-    });
+                    let mut shared = pool.lock();
+                    while !shared.closed && index >= shared.finished.next + window {
+                        shared = pool
+                            .space
+                            .wait(shared)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                    if shared.closed {
+                        return;
+                    }
+                    drop(shared);
+                    let result = run(&jobs[index], &mut state);
+                    pool.lock().finished.insert(index, result);
+                    pool.ready.notify_one();
+                }
+            });
+        }
 
-    let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-    for (index, result) in per_worker.into_iter().flatten() {
-        results[index] = Some(result);
+        let _close = CloseOnPanic(&pool);
+        for _ in 0..jobs.len() {
+            let mut shared = pool.lock();
+            let (index, result) = loop {
+                if let Some(next) = shared.finished.pop() {
+                    break next;
+                }
+                if shared.closed {
+                    // A worker panicked; the scope re-raises it.
+                    return;
+                }
+                shared = pool
+                    .ready
+                    .wait(shared)
+                    .unwrap_or_else(PoisonError::into_inner);
+            };
+            drop(shared);
+            pool.space.notify_all();
+            sink(index, result);
+        }
+    });
+}
+
+/// The pool's shared state and its two wake-up signals: `ready` (a result
+/// arrived, for the collector) and `space` (the window moved, for blocked
+/// workers).
+struct Pool<R> {
+    state: Mutex<PoolState<R>>,
+    ready: Condvar,
+    space: Condvar,
+}
+
+struct PoolState<R> {
+    finished: Reorder<R>,
+    closed: bool,
+}
+
+impl<R> Pool<R> {
+    /// Locks the shared state.  Nothing panics while holding the lock and
+    /// every update under it is a single push, pop or flag write, so a
+    /// poisoned guard still holds valid state — and [`CloseOnPanic`] must
+    /// not panic in `drop`.
+    fn lock(&self) -> MutexGuard<'_, PoolState<R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every job index produced exactly one result"))
-        .collect()
+}
+
+/// Closes the pool when its thread unwinds, so nobody waits for a result
+/// that will never come.
+struct CloseOnPanic<'a, R>(&'a Pool<R>);
+
+impl<R> Drop for CloseOnPanic<'_, R> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.lock().closed = true;
+            self.0.ready.notify_all();
+            self.0.space.notify_all();
+        }
+    }
+}
+
+/// Values keyed by a dense index, released in index order: the pool's
+/// reorder window, and the streamed path's flush of lockstep members.
+struct Reorder<R> {
+    /// The next index to release.
+    next: usize,
+    /// Slots for indices `next..`, filled as values arrive.
+    parked: VecDeque<Option<R>>,
+}
+
+impl<R> Default for Reorder<R> {
+    fn default() -> Self {
+        Self {
+            next: 0,
+            parked: VecDeque::new(),
+        }
+    }
+}
+
+impl<R> Reorder<R> {
+    /// Parks the value for `index` (which must not be released yet).
+    fn insert(&mut self, index: usize, value: R) {
+        let offset = index - self.next;
+        if self.parked.len() <= offset {
+            self.parked.resize_with(offset + 1, || None);
+        }
+        self.parked[offset] = Some(value);
+    }
+
+    /// Releases the value for `next`, if it has arrived.
+    fn pop(&mut self) -> Option<(usize, R)> {
+        let value = self.parked.front_mut()?.take()?;
+        self.parked.pop_front();
+        self.next += 1;
+        Some((self.next - 1, value))
+    }
 }
 
 /// Worker-local reusable state for running scenarios.
@@ -760,19 +793,23 @@ impl RunScratch {
             let backend = cached_backend_for(&mut self.cached, scenario)?;
             return Ok((backend, &[]));
         }
-        let hit = self
-            .samples
-            .as_ref()
-            .is_some_and(|(key, _)| key == &scenario.excitation);
-        if !hit {
-            self.samples = Some((
-                scenario.excitation.clone(),
-                scenario.excitation.to_samples(),
-            ));
-        }
+        let samples = cached_samples(&mut self.samples, &scenario.excitation);
         let backend = cached_backend_for(&mut self.cached, scenario)?;
-        Ok((backend, &self.samples.as_ref().expect("cached above").1))
+        Ok((backend, samples))
     }
+}
+
+/// The excitation-cache lookup of [`RunScratch::backend_and_samples`] and
+/// the lockstep groups: the excitation's flattened samples, recomputed only
+/// when the excitation changed.
+fn cached_samples<'s>(
+    cache: &'s mut Option<(Excitation, Vec<f64>)>,
+    excitation: &Excitation,
+) -> &'s [f64] {
+    if !cache.as_ref().is_some_and(|(key, _)| key == excitation) {
+        *cache = Some((excitation.clone(), excitation.to_samples()));
+    }
+    &cache.as_ref().expect("cached above").1
 }
 
 impl std::fmt::Debug for RunScratch {
@@ -836,7 +873,7 @@ mod tests {
     fn chunked_distribution_covers_every_scenario() {
         let scenarios = small_grid().scenarios().expect("grid");
         let expected = scenarios.len();
-        let report = BatchRunner::new().workers(3).chunk_size(2).run(scenarios);
+        let report = BatchRunner::new().workers(3).run(scenarios);
         assert_eq!(report.entries.len(), expected);
         assert_eq!(report.successes().count(), expected);
         assert!(report.elapsed > Duration::ZERO);
@@ -937,9 +974,9 @@ mod tests {
             *seen += 1;
             (*job * 2, *seen)
         };
-        let serial = parallel_map(&jobs, 1, 1, || 0usize, double);
-        let parallel = parallel_map(&jobs, 4, 3, || 0usize, double);
-        // Job-order results regardless of worker count or chunking...
+        let serial = parallel_map(&jobs, 1, || 0usize, double);
+        let parallel = parallel_map(&jobs, 4, || 0usize, double);
+        // Job-order results regardless of worker count...
         let values = |r: &[(usize, usize)]| r.iter().map(|(v, _)| *v).collect::<Vec<_>>();
         assert_eq!(values(&serial), values(&parallel));
         assert_eq!(serial[7].0, 14);
@@ -948,8 +985,79 @@ mod tests {
         assert_eq!(serial.last().unwrap().1, 100);
         assert!(parallel.iter().all(|(_, seen)| (1..=100).contains(seen)));
         // Degenerate inputs.
-        assert!(parallel_map(&[] as &[usize], 4, 1, || (), |_, ()| ()).is_empty());
-        assert_eq!(parallel_map(&jobs, 8, 0, || (), |job, ()| *job).len(), 100);
+        assert!(parallel_map(&[] as &[usize], 4, || (), |_, ()| ()).is_empty());
+        assert_eq!(parallel_map(&jobs, 8, || (), |job, ()| *job).len(), 100);
+    }
+
+    #[test]
+    fn a_slow_first_job_bounds_how_many_later_jobs_start() {
+        let workers = 2;
+        let window = WINDOW_PER_WORKER * workers;
+        let jobs: Vec<usize> = (0..4 * window).collect();
+        let started = Mutex::new(0_usize);
+        let changed = Condvar::new();
+        let ahead = Mutex::new(None);
+        let mut delivered = Vec::new();
+        ordered_pool(
+            &jobs,
+            workers,
+            || (),
+            |&job, ()| {
+                if job != 0 {
+                    *started.lock().expect("test lock") += 1;
+                    changed.notify_all();
+                    return job;
+                }
+                // Job 0 runs until the other worker has started every job
+                // the window admits behind it, then gives it ample time to
+                // start one more — which a bounded pool never allows.
+                let count = started.lock().expect("test lock");
+                let (count, _) = changed
+                    .wait_timeout_while(count, Duration::from_secs(10), |n| *n < window - 1)
+                    .expect("test lock");
+                let (count, _) = changed
+                    .wait_timeout_while(count, Duration::from_millis(300), |n| *n < window)
+                    .expect("test lock");
+                *ahead.lock().expect("test lock") = Some(*count);
+                job
+            },
+            |index, job| delivered.push((index, job)),
+        );
+        let ahead = ahead.into_inner().expect("test lock");
+        assert_eq!(
+            ahead,
+            Some(window - 1),
+            "later jobs started while job 0 ran; the window is {window}"
+        );
+        assert_eq!(
+            delivered,
+            jobs.iter().map(|&job| (job, job)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_panicking_job_panics_out_of_the_pool_without_hanging() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Job 0 panics while the other worker fills the window behind it
+        // and blocks; job 7 panics mid-stream.
+        let jobs: Vec<usize> = (0..64).collect();
+        for failing in [0, 7] {
+            for workers in [1, 2] {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    ordered_pool(
+                        &jobs,
+                        workers,
+                        || (),
+                        |&job, ()| {
+                            assert_ne!(job, failing, "job {failing} fails on purpose");
+                            job
+                        },
+                        |_, _| {},
+                    );
+                }));
+                assert!(result.is_err(), "job {failing} at {workers} workers");
+            }
+        }
     }
 
     fn multi_material_grid() -> ScenarioGrid {
@@ -1145,7 +1253,12 @@ mod tests {
 
     #[test]
     fn streamed_run_propagates_the_first_emit_error() {
-        let scenarios = small_grid().scenarios().expect("grid");
+        // More scenarios than the 4-worker window, so the error lands while
+        // workers are still queued behind it.
+        let scenarios: Vec<Scenario> = (0..6)
+            .flat_map(|_| small_grid().scenarios().expect("grid"))
+            .collect();
+        assert!(scenarios.len() > 4 * WINDOW_PER_WORKER);
         for workers in [1, 4] {
             let mut emitted = 0_usize;
             let result =

@@ -23,7 +23,7 @@
 //!   by `tests/fit_determinism.rs`).
 //! * **Determinism.**  Starting points are derived from `(seed, loop
 //!   index)` before any thread spawns, every start is a pure function of
-//!   its parameters, and results are re-sorted into (loop, start) order —
+//!   its parameters, and results come back in (loop, start) order —
 //!   a [`FitReport`] serialises byte-identically for any worker count
 //!   (asserted at 1/2/8 workers by `tests/fit_determinism.rs`).
 
@@ -362,7 +362,6 @@ fn run_scalar(
     parallel_map(
         &tasks,
         workers,
-        1,
         || FitScratch { cached: None },
         |task, scratch| {
             let t0 = Instant::now();
@@ -398,7 +397,6 @@ fn run_lockstep(
     let per_loop = parallel_map(
         &tasks,
         workers.min(jobs.len()),
-        1,
         || SoaFitScratch { cached: None },
         |&job, scratch| {
             let starts = &loop_starts[job];

@@ -1,15 +1,13 @@
 //! Cross-crate equivalence tests of the structure-of-arrays lockstep
-//! kernel (`ja_hysteresis::soa`): in `f64` mode every lane must be
-//! **bit-identical** to a scalar [`JilesAtherton`] run of the same
-//! parameters, configuration and samples; in `f32` state mode the flux
-//! density must stay within the documented tolerance of the scalar
-//! reference.
+//! kernel (`ja_hysteresis::soa`): every lane must be **bit-identical** to
+//! a scalar [`JilesAtherton`] run of the same parameters, configuration
+//! and samples.
 
 use ja_repro::ja_hysteresis::backend::HysteresisBackend;
 use ja_repro::ja_hysteresis::config::JaConfig;
 use ja_repro::ja_hysteresis::model::JilesAtherton;
 use ja_repro::ja_hysteresis::params::AnhystereticChoice;
-use ja_repro::ja_hysteresis::soa::{SoaBatch, SoaPrecision};
+use ja_repro::ja_hysteresis::soa::SoaBatch;
 use ja_repro::magnetics::bh::BhCurve;
 use ja_repro::magnetics::material::JaParameters;
 use ja_repro::magnetics::units::Magnetisation;
@@ -99,7 +97,7 @@ proptest! {
         let config = JaConfig::default().with_anhysteretic(LAWS[law]);
         let samples = schedule(kind, peak, step).to_samples();
 
-        let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+        let mut batch = SoaBatch::new(config).expect("config");
         batch.assign(&materials);
         let mut curves = vec![BhCurve::new(); materials.len()];
         batch.run_samples_into_curves(&samples, &mut curves);
@@ -108,48 +106,6 @@ proptest! {
             prop_assert!(batch.lane_error(lane).is_none());
             let scalar = scalar_curve(*params, config, &samples);
             assert_curves_bit_identical(curve, &scalar, &format!("lane {lane} law {law} kind {kind}"));
-        }
-    }
-}
-
-#[test]
-fn f32_state_mode_stays_within_documented_tolerance() {
-    // The documented bound (see `ja_hysteresis::soa`): relative B error
-    // below 1e-4 of the loop's peak flux density, for the workspace's
-    // materials and schedules.
-    let materials = [
-        JaParameters::date2006(),
-        JaParameters::jiles_atherton_1984(),
-        JaParameters::soft_ferrite(),
-        JaParameters::hard_steel(),
-    ];
-    for kind in 0..3 {
-        let samples = schedule(kind, 10_000.0, 50.0).to_samples();
-        let config = JaConfig::default();
-        let mut batch = SoaBatch::new(config, SoaPrecision::F32).expect("config");
-        batch.assign(&materials);
-        let mut curves = vec![BhCurve::new(); materials.len()];
-        batch.run_samples_into_curves(&samples, &mut curves);
-
-        for (lane, params) in materials.iter().enumerate() {
-            assert!(batch.lane_error(lane).is_none());
-            let scalar = scalar_curve(*params, config, &samples);
-            let b_peak = scalar
-                .points()
-                .iter()
-                .fold(0.0_f64, |acc, p| acc.max(p.b.as_tesla().abs()));
-            assert!(b_peak > 0.0);
-            let worst = curves[lane]
-                .points()
-                .iter()
-                .zip(scalar.points())
-                .fold(0.0_f64, |acc, (p, q)| {
-                    acc.max((p.b.as_tesla() - q.b.as_tesla()).abs())
-                });
-            assert!(
-                worst <= 1e-4 * b_peak,
-                "lane {lane} kind {kind}: worst |dB| {worst:e} exceeds 1e-4 of peak {b_peak}"
-            );
         }
     }
 }
@@ -176,7 +132,7 @@ fn thermally_derived_parameters_stay_bit_identical_in_lockstep() {
         .to_samples();
     let config = JaConfig::default();
 
-    let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+    let mut batch = SoaBatch::new(config).expect("config");
     batch.assign(&materials);
     let mut curves = vec![BhCurve::new(); materials.len()];
     batch.run_samples_into_curves(&samples, &mut curves);
@@ -212,7 +168,7 @@ fn a_failing_lane_does_not_disturb_its_neighbours() {
         .to_samples();
     let config = JaConfig::default();
 
-    let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+    let mut batch = SoaBatch::new(config).expect("config");
     batch.assign(&materials);
     let mut curves = vec![BhCurve::new(); materials.len()];
     batch.run_samples_into_curves(&samples, &mut curves);

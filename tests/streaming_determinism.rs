@@ -2,15 +2,21 @@
 //! `report::write_ndjson_batch` must be identical across 1/2/8 worker
 //! counts, and an interrupted run resumed from its checkpoint must
 //! reproduce the uninterrupted bytes exactly — including the final
-//! manifest line and its entries digest.
+//! manifest line and its entries digest.  A thermal grid whose lockstep
+//! groups are strided covers the SoA routing modes on the same path.
 
 use std::io::{self, Write};
 
-use ja_repro::hdl_models::exec::BatchRunner;
-use ja_repro::hdl_models::report::{write_ndjson_batch, StreamCheckpoint};
-use ja_repro::hdl_models::scenario::{BackendKind, Excitation, ScenarioGrid};
+use ja_repro::hdl_models::exec::{BatchRunner, SoaRouting};
+use ja_repro::hdl_models::report::{grid_digest, write_ndjson_batch, StreamCheckpoint};
+use ja_repro::hdl_models::scenario::{
+    BackendKind, Excitation, OperatingPoint, Scenario, ScenarioGrid,
+};
 use ja_repro::ja_hysteresis::config::JaConfig;
-use ja_repro::ja_hysteresis::json::JsonValue;
+use ja_repro::ja_hysteresis::json::{JsonValue, StreamDigest};
+use ja_repro::magnetics::geometry::CoreGeometry;
+use ja_repro::magnetics::material::JaParameters;
+use ja_repro::magnetics::thermal::ThermalCoefficients;
 
 fn grid() -> ScenarioGrid {
     ScenarioGrid::new()
@@ -136,4 +142,117 @@ fn resume_refuses_a_checkpoint_from_a_different_grid() {
         .expect_err("grid mismatch must be rejected");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     assert!(bytes.is_empty(), "nothing may be written on a refusal");
+}
+
+/// The thermal loss grid of `tests/batch_determinism.rs` over all four
+/// material presets.  The operating point is the innermost grid axis, so
+/// each lockstep group — the four materials of one (config, excitation,
+/// operating point) cell — is strided: members `i, i+3, i+6, i+9`.
+fn thermal_grid() -> ScenarioGrid {
+    let mut grid = ScenarioGrid::new()
+        .material_with_thermal(
+            "date2006",
+            JaParameters::date2006(),
+            ThermalCoefficients::date2006(),
+        )
+        .material_with_thermal(
+            "ja1984",
+            JaParameters::jiles_atherton_1984(),
+            ThermalCoefficients::jiles_atherton_1984(),
+        )
+        .material_with_thermal(
+            "soft-ferrite",
+            JaParameters::soft_ferrite(),
+            ThermalCoefficients::soft_ferrite(),
+        )
+        .material_with_thermal(
+            "hard-steel",
+            JaParameters::hard_steel(),
+            ThermalCoefficients::hard_steel(),
+        )
+        .backend(BackendKind::DirectTimeless)
+        .config("dh10", JaConfig::default())
+        .excitation(
+            "major",
+            Excitation::major_loop(10_000.0, 250.0, 1).expect("excitation"),
+        );
+    for t_c in [-40.0, 25.0, 125.0] {
+        grid = grid.operating_point(
+            format!("t{t_c}"),
+            OperatingPoint::at_temperature(t_c)
+                .with_frequency(50.0)
+                .with_geometry(CoreGeometry::demo()),
+        );
+    }
+    grid
+}
+
+/// Streams `scenarios` from `resume` on, returning the bytes and every
+/// checkpoint state the writer reported.
+fn stream(
+    runner: &BatchRunner,
+    scenarios: &[Scenario],
+    resume: Option<&StreamCheckpoint>,
+    mut bytes: Vec<u8>,
+) -> (Vec<u8>, Vec<StreamCheckpoint>) {
+    let mut states = Vec::new();
+    write_ndjson_batch(runner, scenarios, resume, &mut bytes, |state, _| {
+        states.push(*state);
+        Ok(())
+    })
+    .expect("in-memory stream cannot fail");
+    (bytes, states)
+}
+
+#[test]
+fn strided_lockstep_stream_is_byte_identical_across_workers_routing_and_resume() {
+    let scenarios = thermal_grid().scenarios().expect("non-empty grid");
+    assert_eq!(scenarios.len(), 12); // 4 materials x 3 operating points
+    let scalar = BatchRunner::new()
+        .workers(1)
+        .soa_routing(SoaRouting::ForceScalar);
+    let (reference, states) = stream(&scalar, &scenarios, None, Vec::new());
+    assert_eq!(states.len(), scenarios.len());
+    assert_eq!(states[scenarios.len() - 1].failed, 0);
+    // Auto routing really runs the grid as strided four-lane groups.
+    let auto = BatchRunner::new().workers(2).run(scenarios.clone());
+    for entry in &auto.entries {
+        let outcome = entry.outcome.as_ref().expect("ok");
+        assert_eq!(outcome.lockstep_lanes, Some(4), "{}", entry.scenario.name);
+    }
+
+    // Every skip a resume can start from, including the mid-group ones.
+    let mut checkpoints = vec![StreamCheckpoint {
+        grid_digest: grid_digest(&scenarios),
+        entries: 0,
+        byte_offset: 0,
+        succeeded: 0,
+        failed: 0,
+        digest_state: StreamDigest::new().state(),
+    }];
+    checkpoints.extend(states);
+
+    for routing in [
+        SoaRouting::Auto,
+        SoaRouting::ForceSoa,
+        SoaRouting::ForceScalar,
+    ] {
+        for workers in [1, 2, 8] {
+            let runner = BatchRunner::new().workers(workers).soa_routing(routing);
+            let (bytes, _) = stream(&runner, &scenarios, None, Vec::new());
+            assert_eq!(
+                bytes, reference,
+                "{routing:?} stream at {workers} workers diverged from the scalar stream"
+            );
+            for checkpoint in &checkpoints {
+                let head = reference[..checkpoint.byte_offset as usize].to_vec();
+                let (resumed, _) = stream(&runner, &scenarios, Some(checkpoint), head);
+                assert_eq!(
+                    resumed, reference,
+                    "{routing:?} resume at entry {} with {workers} workers diverged",
+                    checkpoint.entries
+                );
+            }
+        }
+    }
 }
