@@ -10,22 +10,25 @@
 //!
 //! Two kernels implement that contract:
 //!
-//! * the **lockstep kernel** (arctangent anhysteretic laws, i.e. the
-//!   paper's modified Langevin and the two-parameter blend): all lanes walk
-//!   the sample sequence together, and the per-sample self-consistency
-//!   fixed point runs as a branch-light lane-inner loop over the flat
-//!   columns.  The heavy arctangents go through the shared polynomial
-//!   [`magnetics::fastmath::atan`], a fixed inlineable operation sequence,
-//!   so independent lanes pipeline and auto-vectorise instead of
-//!   serialising on an opaque libm call — this is where the SoA speedup
-//!   comes from.  Per lane the operation order is exactly the scalar
-//!   model's ([`advance_state`] shares the
-//!   same constants and increment routine), which keeps the lanes bitwise
-//!   equal;
-//! * the **per-lane fallback** (classic Langevin law): each lane walks the
-//!   whole sequence delegating every step to
-//!   [`advance_state`] itself — trivially
-//!   bit-identical, without the lane-parallel throughput.
+//! * the **lockstep kernel** (the paper's single forward-Euler step per
+//!   increment with an arctangent anhysteretic law, i.e. the modified
+//!   Langevin or the two-parameter blend): all lanes walk the sample
+//!   sequence together.  Per sample, the `monitorH` gate and the
+//!   forward-Euler slope step run as one branch-free lane-inner pass over
+//!   the flat columns, and the self-consistency fixed point runs as
+//!   another, until every lane has settled.  The heavy arctangents go
+//!   through the shared polynomial [`magnetics::fastmath::atan`], a fixed
+//!   inlineable operation sequence, so independent lanes pipeline and
+//!   auto-vectorise instead of serialising on an opaque libm call — this
+//!   is where the SoA speedup comes from.  Per lane the operation order is
+//!   exactly the scalar model's (the same operations as
+//!   [`integrate_field_increment`](crate::timeless::integrate_field_increment)'s
+//!   single sub-step, and the constants [`advance_state`] uses), which
+//!   keeps the lanes bitwise equal;
+//! * the **per-lane path** (Heun, RK4, subdivided increments and the
+//!   classic Langevin law): each lane walks the whole sequence delegating
+//!   every step to [`advance_state`] itself — trivially bit-identical,
+//!   without the lane-parallel throughput.
 //!
 //! On top of the kernel win, the batch removes everything around the math:
 //! per-sample dynamic dispatch, per-sample `Result`/sample-struct plumbing,
@@ -43,14 +46,13 @@ use magnetics::fastmath;
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
 
-use crate::config::JaConfig;
+use crate::config::{Formulation, JaConfig, SlopeIntegration};
 use crate::error::JaError;
 use crate::model::JaStatistics;
 use crate::params::AnhystereticChoice;
 use crate::state::JaState;
 use crate::timeless::{
-    advance_state, integrate_field_increment, total_magnetisation, FIXED_POINT_ITERATIONS,
-    FIXED_POINT_TOLERANCE,
+    advance_state, total_magnetisation, FIXED_POINT_ITERATIONS, FIXED_POINT_TOLERANCE,
 };
 
 /// The six state fields of [`JaState`] as flat columns, plus the per-lane
@@ -112,6 +114,41 @@ impl StateColumns {
     }
 }
 
+/// The lockstep kernel's per-lane masks and statistics counters, kept on
+/// the batch so steady-state re-runs allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct LockstepScratch {
+    /// Lanes still stepping (no error recorded).
+    live: Vec<bool>,
+    /// The fixed point's per-lane convergence mask.
+    settled: Vec<bool>,
+    samples: Vec<u64>,
+    updates: Vec<u64>,
+    negative_slope_events: Vec<u64>,
+    rejected_updates: Vec<u64>,
+}
+
+impl LockstepScratch {
+    /// Sizes every column to the lane count of `errors`, marks the lanes
+    /// without an error live and zeroes the counters.
+    fn reset(&mut self, errors: &[Option<JaError>]) {
+        let lanes = errors.len();
+        self.live.clear();
+        self.live.extend(errors.iter().map(Option::is_none));
+        self.settled.clear();
+        self.settled.resize(lanes, false);
+        for column in [
+            &mut self.samples,
+            &mut self.updates,
+            &mut self.negative_slope_events,
+            &mut self.rejected_updates,
+        ] {
+            column.clear();
+            column.resize(lanes, 0);
+        }
+    }
+}
+
 /// A batch of Jiles–Atherton lanes sharing one configuration and one
 /// applied-field sequence, laid out as structure-of-arrays columns.
 ///
@@ -134,9 +171,7 @@ pub struct SoaBatch {
     state: StateColumns,
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
-    /// The lockstep fixed point's per-lane convergence mask, kept on the
-    /// batch so steady-state re-runs allocate nothing.
-    converged: Vec<bool>,
+    lockstep: LockstepScratch,
 }
 
 impl SoaBatch {
@@ -162,7 +197,7 @@ impl SoaBatch {
             state: StateColumns::default(),
             stats: Vec::new(),
             errors: Vec::new(),
-            converged: Vec::new(),
+            lockstep: LockstepScratch::default(),
         })
     }
 
@@ -264,33 +299,15 @@ impl SoaBatch {
             state,
             stats,
             errors,
-            converged,
+            lockstep,
         } = self;
         let params: [&Vec<f64>; 6] = [&*m_sat, &*a, &*a2, &*k, &*alpha, &*c];
         match lockstep_law(config, anhysteretic, a, a2, errors) {
             Some(LockstepLaw::Single(man)) => run_lanes_lockstep(
-                state,
-                config,
-                anhysteretic,
-                &params,
-                &man,
-                converged,
-                stats,
-                errors,
-                samples,
-                curves,
+                state, config, &params, &man, lockstep, stats, errors, samples, curves,
             ),
             Some(LockstepLaw::Blend(man)) => run_lanes_lockstep(
-                state,
-                config,
-                anhysteretic,
-                &params,
-                &man,
-                converged,
-                stats,
-                errors,
-                samples,
-                curves,
+                state, config, &params, &man, lockstep, stats, errors, samples, curves,
             ),
             None => run_lanes(
                 state,
@@ -385,10 +402,12 @@ impl LockstepMan for BlendAtanLanes<'_> {
 }
 
 /// The anhysteretic law the lockstep kernel will use, or `None` when the
-/// batch must take the per-lane fallback (classic Langevin, or any lane
+/// batch must take the per-lane fallback: a configuration other than
+/// forward Euler without subdivision (the kernel implements only the
+/// paper's single-step update), the classic Langevin law, or any lane
 /// whose built law does not match its parameter columns — impossible for
 /// batches built by [`SoaBatch::assign`], but checked rather than assumed
-/// because bit-identity rides on it).
+/// because bit-identity rides on it.
 enum LockstepLaw<'x> {
     Single(SingleAtanLanes<'x>),
     Blend(BlendAtanLanes<'x>),
@@ -401,6 +420,9 @@ fn lockstep_law<'x>(
     a2: &'x [f64],
     errors: &[Option<JaError>],
 ) -> Option<LockstepLaw<'x>> {
+    if config.integration != SlopeIntegration::ForwardEuler || config.subdivide_increment {
+        return None;
+    }
     match config.anhysteretic {
         AnhystereticChoice::ModifiedLangevin => {
             for (lane, kind) in anhysteretic.iter().enumerate() {
@@ -432,29 +454,38 @@ fn lockstep_law<'x>(
 /// The lockstep kernel: all lanes advance through each sample together,
 /// working directly on the state columns.
 ///
-/// Per sample, three phases mirror [`advance_state`] exactly:
+/// Per sample, three lane-inner phases mirror [`advance_state`] exactly:
 ///
-/// 1. **gate + irreversible update** (per lane): when the shared field has
-///    moved by `ΔH_max` since the lane's last update, the lane's
-///    irreversible magnetisation advances through the *same*
-///    [`integrate_field_increment`] routine the scalar model calls;
-/// 2. **self-consistency fixed point** (lane-inner, branch-light): the
-///    [`FIXED_POINT_ITERATIONS`]-capped iteration runs over the flat
-///    columns with a per-lane convergence mask replacing the scalar early
-///    `break` — converged lanes keep their values through selects, so per
-///    lane the applied operation sequence is unchanged while the loop body
-///    stays free of data-dependent branches and the polynomial arctangents
-///    of adjacent lanes pipeline/vectorise;
+/// 1. **gate + forward-Euler step**: the paper's `monitorH` gate
+///    (`live && |h − h_last| ≥ ΔH_max`) becomes a mask, and every lane
+///    computes the single forward-Euler slope step that
+///    [`integrate_field_increment`](crate::timeless::integrate_field_increment)
+///    takes for this configuration — the same operations in the same
+///    order: slope evaluated at `h_last + dh` (not `h`), `(α·M_sat)·m`,
+///    `dk = ±k`, the degenerate-denominator branch, both guards, and
+///    `dm_irr = (m_irr + dm) − m_irr` added back to `m_irr`.  Gated-off and
+///    dead lanes keep their values through selects, and the statistics
+///    accumulate in the batch's count columns;
+/// 2. **self-consistency fixed point**: the
+///    [`FIXED_POINT_ITERATIONS`]-capped iteration with a per-lane
+///    convergence mask replacing the scalar early `break` — a settled lane
+///    keeps its values through selects, so per lane the applied operation
+///    sequence is unchanged.  Dead lanes start settled (they may hold NaN,
+///    which never converges), and the loop stops once every lane has
+///    settled;
 /// 3. **finalise** (per lane): rebuild the reversible part, detect
 ///    divergence and append the lane's curve point.
+///
+/// Phases 1 and 2 are free of data-dependent branches, so the polynomial
+/// arctangents of adjacent lanes pipeline and vectorise.  The count columns
+/// are folded into the lanes' [`JaStatistics`] once the run ends.
 #[allow(clippy::too_many_arguments)]
 fn run_lanes_lockstep<M: LockstepMan>(
     columns: &mut StateColumns,
     config: &JaConfig,
-    anhysteretic: &[AnhystereticKind],
     params: &[&Vec<f64>; 6],
     man: &M,
-    converged: &mut Vec<bool>,
+    scratch: &mut LockstepScratch,
     stats: &mut [JaStatistics],
     errors: &mut [Option<JaError>],
     samples: &[f64],
@@ -463,19 +494,29 @@ fn run_lanes_lockstep<M: LockstepMan>(
     let lanes = stats.len();
     assert_eq!(man.lanes(), lanes, "lockstep law must cover every lane");
     // Exactly-sized slices let the optimiser prove every `[lane]` access in
-    // the hot fixed-point loop is in bounds, which is what allows it to
-    // vectorise the loop across lanes.
-    let [m_sat, a, a2, k, alpha, c] = params;
+    // the hot loops is in bounds, which is what allows it to vectorise them
+    // across lanes.
+    let [m_sat, _, _, k, alpha, c] = params;
     let m_sat = &m_sat[..lanes];
-    let a = &a[..lanes];
-    let a2 = &a2[..lanes];
     let k = &k[..lanes];
     let alpha = &alpha[..lanes];
     let c = &c[..lanes];
 
-    converged.clear();
-    converged.resize(lanes, false);
-    let done_mask = &mut converged[..lanes];
+    scratch.reset(errors);
+    let LockstepScratch {
+        live,
+        settled,
+        samples: sample_count,
+        updates: update_count,
+        negative_slope_events: negative_count,
+        rejected_updates: rejected_count,
+    } = scratch;
+    let live = &mut live[..lanes];
+    let settled = &mut settled[..lanes];
+    let sample_count = &mut sample_count[..lanes];
+    let update_count = &mut update_count[..lanes];
+    let negative_count = &mut negative_count[..lanes];
+    let rejected_count = &mut rejected_count[..lanes];
     let StateColumns {
         m_irr,
         m_rev,
@@ -495,11 +536,15 @@ fn run_lanes_lockstep<M: LockstepMan>(
 
     for (lane, curve) in curves.iter_mut().enumerate() {
         curve.clear();
-        if errors[lane].is_none() {
+        if live[lane] {
             curve.reserve(samples.len());
         }
     }
 
+    let dh_max = config.dh_max;
+    let classic = config.formulation == Formulation::Classic;
+    let clamp = config.clamp_negative_slope;
+    let reject = config.reject_opposing_update;
     for &h in samples {
         if !h.is_finite() {
             // Every live lane fails this sample exactly like the scalar
@@ -512,69 +557,69 @@ fn run_lanes_lockstep<M: LockstepMan>(
             break;
         }
 
-        // Phase 1 — the paper's monitorH gate and irreversible update.
+        // Phase 1 — the paper's monitorH gate and Integral(): one
+        // forward-Euler slope step per gated lane.
         for lane in 0..lanes {
-            if errors[lane].is_some() {
-                continue;
-            }
-            stats[lane].samples += 1;
             let h_last = h_last_update[lane];
-            let dh_accumulated = h - h_last;
-            if dh_accumulated.abs() >= config.dh_max {
-                let lane_params = JaParameters {
-                    m_sat: Magnetisation::new(m_sat[lane]),
-                    a: a[lane],
-                    a2: a2[lane],
-                    k: k[lane],
-                    alpha: alpha[lane],
-                    c: c[lane],
-                };
-                let result = integrate_field_increment(
-                    &lane_params,
-                    &anhysteretic[lane],
-                    config,
-                    m_irr[lane],
-                    m_total_col[lane],
-                    h_last,
-                    h,
-                );
-                m_irr[lane] += result.dm_irr;
-                h_last_update[lane] = h;
-                updates[lane] += 1;
-                let lane_stats = &mut stats[lane];
-                lane_stats.updates += 1;
-                lane_stats.slope_evaluations += u64::from(result.slope_evaluations);
-                lane_stats.negative_slope_events += u64::from(result.negative_slope_events);
-                lane_stats.rejected_updates += u64::from(result.rejected_updates);
-            }
+            let dh = h - h_last;
+            let gate = live[lane] & (dh.abs() >= dh_max);
+            let m_irr_old = m_irr[lane];
+            let m_total = m_total_col[lane];
+            let alpha_m_sat = alpha[lane] * m_sat[lane];
+            let h_effective = (h_last + dh) + alpha_m_sat * m_total;
+            let delta_m = man.m_an(lane, h_effective) - if classic { m_irr_old } else { m_total };
+            let dk = if dh > 0.0 { k[lane] } else { -k[lane] };
+            let denominator = (1.0 + c[lane]) * (dk - alpha_m_sat * delta_m);
+            let raw_slope = if denominator.abs() < f64::MIN_POSITIVE {
+                delta_m.signum() * f64::MAX.sqrt()
+            } else {
+                delta_m / denominator
+            };
+            let slope = if clamp && raw_slope < 0.0 {
+                0.0
+            } else {
+                raw_slope
+            };
+            let dm = dh * slope;
+            let dm_guarded = if reject && dm * dh < 0.0 { 0.0 } else { dm };
+            let dm_irr = (m_irr_old + dm_guarded) - m_irr_old;
+            m_irr[lane] = if gate { m_irr_old + dm_irr } else { m_irr_old };
+            h_last_update[lane] = if gate { h } else { h_last };
+            sample_count[lane] += u64::from(live[lane]);
+            update_count[lane] += u64::from(gate);
+            negative_count[lane] += u64::from(gate & (raw_slope < 0.0));
+            rejected_count[lane] += u64::from(gate & (dm_guarded != dm));
         }
 
         // Phase 2 — the paper's core(): the self-consistency fixed point,
         // in lockstep.  The convergence mask replaces the scalar early
-        // break; a converged lane carries its values unchanged, so the
+        // break; a settled lane carries its values unchanged, so the
         // per-lane operation sequence matches `advance_state` bit for bit.
-        // Inactive lanes iterate too (keeping the loop branch-free); their
-        // values are never reported.
-        for done in done_mask.iter_mut() {
-            *done = false;
+        for (done, &alive) in settled.iter_mut().zip(live.iter()) {
+            *done = !alive;
         }
         for _ in 0..FIXED_POINT_ITERATIONS {
+            let mut pending = false;
             for lane in 0..lanes {
                 let m_total = m_total_col[lane];
                 let h_effective = h + alpha[lane] * m_sat[lane] * m_total;
                 let m_an = man.m_an(lane, h_effective);
                 let next = total_magnetisation(config.formulation, c[lane], m_an, m_irr[lane]);
-                let settled = (next - m_total).abs() < FIXED_POINT_TOLERANCE;
-                let done = done_mask[lane];
+                let converged = (next - m_total).abs() < FIXED_POINT_TOLERANCE;
+                let done = settled[lane];
                 m_an_col[lane] = if done { m_an_col[lane] } else { m_an };
                 m_total_col[lane] = if done { m_total } else { next };
-                done_mask[lane] = done || settled;
+                settled[lane] = done | converged;
+                pending |= !(done | converged);
+            }
+            if !pending {
+                break;
             }
         }
 
         // Phase 3 — finalise and emit.
         for lane in 0..lanes {
-            if errors[lane].is_some() {
+            if !live[lane] {
                 continue;
             }
             let m_total = m_total_col[lane];
@@ -592,11 +637,23 @@ fn run_lanes_lockstep<M: LockstepMan>(
             .all(|value| value.is_finite());
             if !finite {
                 errors[lane] = Some(JaError::StateDiverged { at_field: h });
+                live[lane] = false;
                 continue;
             }
             let sat = m_sat[lane];
             curves[lane].push_raw(h, MU0 * (h + m_total * sat), m_total * sat);
         }
+    }
+
+    // One forward-Euler step is one slope evaluation per update.
+    for lane in 0..lanes {
+        let lane_stats = &mut stats[lane];
+        lane_stats.samples += sample_count[lane];
+        lane_stats.updates += update_count[lane];
+        lane_stats.slope_evaluations += update_count[lane];
+        lane_stats.negative_slope_events += negative_count[lane];
+        lane_stats.rejected_updates += rejected_count[lane];
+        updates[lane] += update_count[lane];
     }
 }
 

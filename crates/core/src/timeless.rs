@@ -82,7 +82,7 @@ pub fn integrate_field_increment(
     let mut m_total_local = m_total;
     let mut h = h_from;
 
-    for _ in 0..substeps {
+    for substep in 0..substeps {
         let slope_at =
             |h_eval: f64, m_irr_eval: f64, m_total_eval: f64, result: &mut IncrementResult| {
                 let eval = evaluate_irreversible_slope(
@@ -138,21 +138,24 @@ pub fn integrate_field_increment(
             result.rejected_updates += 1;
         }
         m_irr_local += dm_guarded;
-        // Keep the total-magnetisation hint roughly consistent for the next
-        // sub-step; the model recomputes it exactly afterwards.
-        let eval_after = evaluate_irreversible_slope(
-            params,
-            anhysteretic,
-            config.formulation,
-            h + dh,
-            m_irr_local,
-            m_total_local,
-            direction,
-            config.clamp_negative_slope,
-        );
-        m_total_local =
-            total_magnetisation(config.formulation, params.c, eval_after.m_an, m_irr_local);
         h += dh;
+        if substep + 1 < substeps {
+            // Keep the total-magnetisation hint roughly consistent for the
+            // next sub-step; after the last one the model recomputes it
+            // exactly, so the refresh would be thrown away.
+            let eval_after = evaluate_irreversible_slope(
+                params,
+                anhysteretic,
+                config.formulation,
+                h,
+                m_irr_local,
+                m_total_local,
+                direction,
+                config.clamp_negative_slope,
+            );
+            m_total_local =
+                total_magnetisation(config.formulation, params.c, eval_after.m_an, m_irr_local);
+        }
     }
 
     result.dm_irr = m_irr_local - m_irr;
